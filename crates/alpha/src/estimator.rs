@@ -105,7 +105,7 @@ impl<'g> PreferenceEstimator<'g> {
 
             // One probe: the suboptimality gap at `scale` and whether the
             // observation is optimal there.
-            let mut eval = |scale: f64, probes: &mut u64| -> Option<(f64, bool)> {
+            let eval = |scale: f64, probes: &mut u64| -> Option<(f64, bool)> {
                 let cand = Self::scaled(&weights, violated, scale);
                 *probes += 1;
                 let cand_best = scalarized_path(self.graph, source, target, &cand).path?;
@@ -116,12 +116,12 @@ impl<'g> PreferenceEstimator<'g> {
             // Golden-section search on the convex gap over scale ∈ [0, 1].
             let mut feasible_scale: Option<f64> = None;
             let (mut best_scale, mut best_gap) = (0.0f64, f64::INFINITY);
-            let mut record = |scale: f64,
-                              gap: f64,
-                              ok: bool,
-                              at: &mut Option<f64>,
-                              bs: &mut f64,
-                              bg: &mut f64| {
+            let record = |scale: f64,
+                          gap: f64,
+                          ok: bool,
+                          at: &mut Option<f64>,
+                          bs: &mut f64,
+                          bg: &mut f64| {
                 if gap < *bg {
                     *bg = gap;
                     *bs = scale;

@@ -819,13 +819,15 @@ fn struct_body(toks: &[Token], mut j: usize) -> (usize, usize) {
 }
 
 /// Seed roots for **hot-path-alloc**: `(crate, fn name)` pairs naming the
-/// inner-loop drivers of LSA/CEA expansion and the ParetoPrep scan. A
-/// root's *loop bodies* are hot; every function those loop bodies call is
-/// hot throughout its whole body, transitively.
-const HOT_PATH_ROOTS: [(&str, &str); 4] = [
+/// inner-loop drivers of LSA/CEA expansion, of the label-setting Pareto
+/// kernel (mcpp's path-skyline loop and the index's upward searches) and
+/// of the ParetoPrep scan. A root's *loop bodies* are hot; every function
+/// those loop bodies call is hot throughout its whole body, transitively.
+const HOT_PATH_ROOTS: [(&str, &str); 5] = [
     ("expansion", "advance"),
     ("expansion", "next_nearest"),
     ("mcpp", "search"),
+    ("index", "upward_labels"),
     ("prep", "scan"),
 ];
 

@@ -7,13 +7,14 @@
 //! instead of a scan over the whole front — the classic bicriterion
 //! fast path (ROADMAP item "Bicriterion d = 2 fast path").
 //!
-//! [`Front2`] is used as a *mirror* of a label set that the general-purpose
-//! code keeps anyway: `mcn-mcpp` mirrors the target skyline with one and
-//! answers its hot weak-dominance check in `O(log k)`, and `mcn-index`
-//! maintains shortcut bundles and assembled skylines through it. The
+//! [`Front2`] is the reference model of that fast path. The
+//! lexicographically sorted Pareto sets of `mcn-mcpp`
+//! (`pareto_dominated`/`pareto_insert`: path-skyline labels and route-index
+//! bundles) answer weak dominance at d = 2 with the same binary search, and
+//! an `mcn-index` test checks them against [`Front2`] point for point. The
 //! boolean answers are defined to be *identical* to the pairwise test over
-//! the same multiset of points, so switching the fast path on cannot change
-//! a single label count.
+//! the same multiset of points, so the fast path cannot change a single
+//! label count.
 
 use crate::cost::CostVec;
 

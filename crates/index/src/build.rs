@@ -2,11 +2,10 @@
 //! witness search, shortcut insertion, and the per-region parallel build.
 
 use crate::config::IndexConfig;
-use crate::structure::{
-    bundle_dominates_weak, bundle_merge, ArcEntry, Fragment, RouteIndex, UpArc,
-};
+use crate::structure::{ArcEntry, Fragment, RouteIndex, UpArc};
 use mcn_graph::{dominates_weak, partition_graph, CostVec, MultiCostGraph, PartitionSpec};
-use std::cmp::Ordering;
+use mcn_mcpp::{pareto_dominated, pareto_insert};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// The mutable contraction state: the *core* graph (arcs between
@@ -23,30 +22,6 @@ struct Contractor<'a> {
     deleted_neighbors: Vec<u32>,
     shortcuts: u64,
     exact: bool,
-}
-
-/// Min-heap entry of the lazy importance queue: smaller score pops first,
-/// tie-broken on the smaller node id so the contraction order is a pure
-/// function of the input.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct OrderEntry {
-    score: i64,
-    node: u32,
-}
-
-impl PartialOrd for OrderEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrderEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest score.
-        other
-            .score
-            .cmp(&self.score)
-            .then_with(|| other.node.cmp(&self.node))
-    }
 }
 
 /// One contracted node, in contraction order: `(node, up_out, up_in)`.
@@ -70,7 +45,7 @@ impl<'a> Contractor<'a> {
     /// existing bundle (parallel edges collapse here).
     fn seed_arc(&mut self, tail: u32, head: u32, costs: CostVec, frag: u32) {
         let bundle = self.out[tail as usize].entry(head).or_default();
-        if bundle_merge(bundle, costs, frag) {
+        if pareto_insert(bundle, ArcEntry { costs, frag }).is_some() {
             if bundle.len() > self.cfg.max_bundle {
                 bundle.truncate(self.cfg.max_bundle);
                 self.exact = false;
@@ -134,12 +109,12 @@ impl<'a> Contractor<'a> {
     /// fragment only now (rejected candidates never pollute the arena).
     fn insert_shortcut(&mut self, u: u32, w: u32, costs: CostVec, f1: u32, f2: u32) {
         let bundle = self.out[u as usize].entry(w).or_default();
-        if bundle_dominates_weak(bundle, &costs) {
+        if pareto_dominated(bundle, &costs) {
             return;
         }
         let frag = self.fragments.len() as u32;
         self.fragments.push(Fragment::Concat(f1, f2));
-        bundle_merge(bundle, costs, frag);
+        pareto_insert(bundle, ArcEntry { costs, frag });
         self.shortcuts += 1;
         if bundle.len() > self.cfg.max_bundle {
             bundle.truncate(self.cfg.max_bundle);
@@ -172,7 +147,7 @@ impl<'a> Contractor<'a> {
                 for e1 in ub {
                     for e2 in wb {
                         let c = e1.costs + e2.costs;
-                        crate::structure::pareto_merge(&mut cands, c, (e1.frag, e2.frag));
+                        pareto_insert(&mut cands, (c, (e1.frag, e2.frag)));
                     }
                 }
                 for (c, (f1, f2)) in cands {
@@ -209,32 +184,27 @@ impl<'a> Contractor<'a> {
     /// Contracts every node of `nodes` bottom-up by lazily re-evaluated
     /// importance, returning them in contraction order.
     fn contract_set(&mut self, nodes: &[u32]) -> Vec<ContractedNode> {
-        let mut heap = BinaryHeap::with_capacity(nodes.len());
-        for &v in nodes {
-            heap.push(OrderEntry {
-                score: self.score(v),
-                node: v,
-            });
-        }
+        // Min-heap on `(score, node)`: the smaller score pops first,
+        // tie-broken on the smaller node id so the contraction order is a
+        // pure function of the input.
+        let mut heap: BinaryHeap<Reverse<(i64, u32)>> =
+            nodes.iter().map(|&v| Reverse((self.score(v), v))).collect();
         let mut contracted = vec![false; self.out.len()];
         let mut order = Vec::with_capacity(nodes.len());
-        while let Some(entry) = heap.pop() {
-            if contracted[entry.node as usize] {
+        while let Some(Reverse((score, node))) = heap.pop() {
+            if contracted[node as usize] {
                 continue;
             }
-            let fresh = self.score(entry.node);
-            if fresh > entry.score {
+            let fresh = self.score(node);
+            if fresh > score {
                 // Lazy update: the neighborhood changed since this entry
                 // was queued; requeue with the fresh score.
-                heap.push(OrderEntry {
-                    score: fresh,
-                    node: entry.node,
-                });
+                heap.push(Reverse((fresh, node)));
                 continue;
             }
-            let (up_out_v, up_in_v) = self.contract(entry.node);
-            contracted[entry.node as usize] = true;
-            order.push((entry.node, up_out_v, up_in_v));
+            let (up_out_v, up_in_v) = self.contract(node);
+            contracted[node as usize] = true;
+            order.push((node, up_out_v, up_in_v));
         }
         order
     }

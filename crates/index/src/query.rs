@@ -1,12 +1,12 @@
 //! Index-served queries: bidirectional upward searches that answer both
 //! query kinds byte-identically to the prep-backed tier.
 
-use crate::structure::{pareto_merge, RouteIndex, UpArc};
+use crate::structure::{RouteIndex, UpArc};
 use mcn_alpha::{Preference, ScalarPath};
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph};
-use mcn_mcpp::ParetoLabel;
+use mcn_mcpp::{pareto_insert, LabelId, ParetoLabel, ParetoSearch};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Search counters of one index-served query, comparable to the settled /
 /// pushed / pruned counters of the prep-backed tier.
@@ -104,6 +104,29 @@ impl Side {
     fn top_key(&self) -> Option<f64> {
         self.heap.peek().map(|e| e.key)
     }
+
+    /// The fragments of the search-tree path from `node` back to the start.
+    fn parents(&self, node: u32) -> impl Iterator<Item = u32> + '_ {
+        let mut cur = node;
+        std::iter::from_fn(move || {
+            let frag = self.parent_frag[cur as usize];
+            cur = self.parent_node[cur as usize];
+            (frag != u32::MAX).then_some(frag)
+        })
+    }
+}
+
+/// The cheapest α-scalarized bundle entry as `(cost, fragment)`, the first
+/// of equals in the bundle's lexicographic order.
+fn cheapest(arc: &UpArc, pref: &Preference) -> (f64, u32) {
+    let mut best = (f64::INFINITY, u32::MAX);
+    for e in &arc.entries {
+        let w = pref.cost_of(&e.costs);
+        if w < best.0 {
+            best = (w, e.frag);
+        }
+    }
+    best
 }
 
 /// Settles one node of `side`, relaxing its upward arcs; updates the
@@ -147,17 +170,7 @@ fn alpha_step(
     side.settled[v] = true;
     for arc in &stall_arcs[v] {
         let head = arc.head as usize;
-        if !side.dist[head].is_finite() {
-            continue;
-        }
-        let mut w = f64::INFINITY;
-        for e in &arc.entries {
-            let c = pref.cost_of(&e.costs);
-            if c < w {
-                w = c;
-            }
-        }
-        if side.dist[head] + w < side.dist[v] {
+        if side.dist[head].is_finite() && side.dist[head] + cheapest(arc, pref).0 < side.dist[v] {
             // Stalled: a downward detour through `head` reaches this node
             // strictly cheaper, so no optimal up-down path peaks here.
             stats.pruned += 1;
@@ -179,18 +192,8 @@ fn alpha_step(
             stats.pruned += 1;
             continue;
         }
-        // The cheapest scalarization over the bundle; strict `<` keeps the
-        // first of equals in the deterministic lexicographic order.
-        let mut best_w = f64::INFINITY;
-        let mut best_frag = u32::MAX;
-        for e in &arc.entries {
-            stats.relaxed += 1;
-            let w = pref.cost_of(&e.costs);
-            if w < best_w {
-                best_w = w;
-                best_frag = e.frag;
-            }
-        }
+        stats.relaxed += arc.entries.len() as u64;
+        let (best_w, best_frag) = cheapest(arc, pref);
         let cand = dv + best_w;
         if cand < side.dist[head] {
             side.dist[head] = cand;
@@ -287,25 +290,7 @@ impl RouteIndex {
             return IndexAlphaResult { path: None, stats };
         };
 
-        // Unpack: forward fragments walk meet → source (each travels
-        // parent → child), backward fragments walk meet → target (each
-        // travels child → parent); both end up in travel order.
-        let mut frags: Vec<u32> = Vec::new();
-        let mut cur = m;
-        while cur != source.raw() {
-            frags.push(fwd.parent_frag[cur as usize]);
-            cur = fwd.parent_node[cur as usize];
-        }
-        frags.reverse();
-        let mut cur = m;
-        while cur != target.raw() {
-            frags.push(bwd.parent_frag[cur as usize]);
-            cur = bwd.parent_node[cur as usize];
-        }
-        let mut edges: Vec<EdgeId> = Vec::new();
-        for f in frags {
-            self.unpack_into(f, &mut edges);
-        }
+        let edges = self.unpack_path(fwd.parents(m), bwd.parents(m));
         // Recompute in path order: the same left fold as the prep-backed
         // A*, so the bits match — the shortcut-order sums never leak out.
         let mut total = 0.0;
@@ -326,7 +311,7 @@ impl RouteIndex {
     }
 
     /// The full `source → target` path skyline through the hierarchy:
-    /// Pareto label-correcting searches over both upward directions,
+    /// Pareto label-setting searches over both upward directions,
     /// dominance-merged at every meeting node. Costs are recomputed
     /// edge-by-edge in path order, so the result is byte-identical to
     /// `mcn_mcpp::pareto_paths_prepped` (same ties caveat as
@@ -364,89 +349,75 @@ impl RouteIndex {
         // sides. The pre-filter uses the label sums; survivors are
         // re-filtered on path-order costs below, so the final skyline is
         // decided by exactly the arithmetic the prep-backed tier uses.
-        let mut combos: Vec<(CostVec, (u32, usize, usize))> = Vec::new();
-        for v in 0..self.num_nodes {
-            if fwd[v].is_empty() || bwd[v].is_empty() {
-                continue;
-            }
-            for (i, (cf, _)) in fwd[v].iter().enumerate() {
-                for (j, (cb, _)) in bwd[v].iter().enumerate() {
-                    if !pareto_merge(&mut combos, *cf + *cb, (v as u32, i, j)) {
-                        stats.pruned += 1;
-                    }
+        let mut combos: Vec<(CostVec, (LabelId, LabelId))> = Vec::new();
+        for v in 0..self.num_nodes as u32 {
+            for &(cf, i) in fwd.set(v) {
+                for &(cb, j) in bwd.set(v) {
+                    stats.pruned += pareto_insert(&mut combos, (cf + cb, (i, j))).is_none() as u64;
                 }
             }
         }
 
         let mut skyline: Vec<(CostVec, ParetoLabel)> = Vec::new();
-        for (_, (v, i, j)) in combos {
-            let mut edges: Vec<EdgeId> = Vec::new();
-            for &f in &fwd[v as usize][i].1 {
-                self.unpack_into(f, &mut edges);
-            }
-            // Backward fragment lists are stored in reverse travel order.
-            for &f in bwd[v as usize][j].1.iter().rev() {
-                self.unpack_into(f, &mut edges);
-            }
-            let mut costs = CostVec::zeros(self.dims);
-            for &eid in &edges {
-                costs += graph.edge(eid).costs;
-            }
+        for (_, (i, j)) in combos {
+            let edges = self.unpack_path(fwd.steps(i), bwd.steps(j));
+            let zero = CostVec::zeros(self.dims);
+            let costs = edges.iter().fold(zero, |c, &e| c + graph.edge(e).costs);
             let label = ParetoLabel {
                 node: target,
                 costs,
                 edges,
             };
-            if !pareto_merge(&mut skyline, costs, label) {
-                stats.pruned += 1;
-            }
+            stats.pruned += pareto_insert(&mut skyline, (costs, label)).is_none() as u64;
         }
-        let mut paths: Vec<ParetoLabel> = skyline.into_iter().map(|(_, l)| l).collect();
-        paths.sort_by(|a, b| a.costs.lex_cmp(&b.costs));
+        // Already in lexicographic cost order: the merge keeps it sorted.
+        let paths = skyline.into_iter().map(|(_, l)| l).collect();
         IndexSkylineResult { paths, stats }
     }
 
-    /// FIFO Pareto label-correcting over one upward direction. Returns the
-    /// per-node Pareto sets of `(costs, fragments)`; forward fragment lists
-    /// are in travel order, backward ones in reverse travel order (the arc
-    /// into the start comes first).
+    /// The original edges of an up-down path: `up` walks the forward
+    /// fragments from the meeting node back to the source, `down` the
+    /// backward ones on to the target (backward arcs travel towards it).
+    fn unpack_path(
+        &self,
+        up: impl Iterator<Item = u32>,
+        down: impl Iterator<Item = u32>,
+    ) -> Vec<EdgeId> {
+        let mut frags: Vec<u32> = up.collect();
+        frags.reverse();
+        frags.extend(down);
+        let mut edges = Vec::new();
+        for f in frags {
+            self.unpack_into(f, &mut edges);
+        }
+        edges
+    }
+
+    /// Label-setting Pareto search over one upward direction, keyed by cost;
+    /// each label's step is the fragment of the arc it arrived over.
     fn upward_labels(
         &self,
         start: u32,
         arcs: &[Vec<UpArc>],
         stats: &mut IndexQueryStats,
-    ) -> Vec<Vec<(CostVec, Vec<u32>)>> {
-        let mut labels: Vec<Vec<(CostVec, Vec<u32>)>> = vec![Vec::new(); self.num_nodes];
-        labels[start as usize].push((CostVec::zeros(self.dims), Vec::new()));
-        let mut queue: VecDeque<(u32, CostVec, Vec<u32>)> = VecDeque::new();
-        queue.push_back((start, CostVec::zeros(self.dims), Vec::new()));
-        while let Some((node, costs, frags)) = queue.pop_front() {
-            // Stale labels — evicted from the node's Pareto set since they
-            // were queued — are skipped. Equal cost vectors never co-exist
-            // in a set, so membership of the costs identifies the label.
-            let set = &labels[node as usize];
-            let pos = set.partition_point(|(c, _)| c.lex_cmp(&costs).is_lt());
-            if set.get(pos).map(|(c, _)| *c != costs).unwrap_or(true) {
-                stats.pruned += 1;
-                continue;
-            }
+    ) -> ParetoSearch {
+        let mut search = ParetoSearch::new(self.num_nodes, start, self.dims);
+        while let Some((id, node, at)) = search.pop() {
             stats.settled += 1;
             for arc in &arcs[node as usize] {
                 for e in &arc.entries {
                     stats.relaxed += 1;
-                    let nc = costs + e.costs;
-                    let mut nf = frags.clone();
-                    nf.push(e.frag);
-                    if pareto_merge(&mut labels[arc.head as usize], nc, nf.clone()) {
+                    let costs = at + e.costs;
+                    if search.push(arc.head, costs, costs, id, e.frag).is_some() {
                         stats.pushed += 1;
-                        queue.push_back((arc.head, nc, nf));
                     } else {
                         stats.pruned += 1;
                     }
                 }
             }
         }
-        labels
+        stats.pruned += search.skipped;
+        search
     }
 }
 

@@ -2,6 +2,7 @@
 //! append-only fragment arena.
 
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph};
+use mcn_mcpp::ParetoMember;
 use serde::{Deserialize, Serialize};
 
 /// One partial path stored in the fragment arena: either an original graph
@@ -170,61 +171,21 @@ impl RouteIndex {
     }
 }
 
-/// True iff some entry of the (lexicographically sorted) Pareto `bundle`
-/// weakly dominates `costs`. At `d == 2` the sorted order doubles as the
-/// sorted-sweep front of [`mcn_graph::Front2`], so one binary search
-/// decides; general `d` scans.
-pub(crate) fn bundle_dominates_weak(bundle: &[ArcEntry], costs: &CostVec) -> bool {
-    if costs.len() == 2 {
-        let idx = bundle.partition_point(|e| e.costs[0].total_cmp(&costs[0]).is_le());
-        idx > 0 && bundle[idx - 1].costs[1] <= costs[1]
-    } else {
-        bundle
-            .iter()
-            .any(|e| mcn_graph::dominates_weak(&e.costs, costs))
+impl ParetoMember for ArcEntry {
+    fn costs(&self) -> &CostVec {
+        &self.costs
     }
-}
-
-/// Merges `(costs, frag)` into the sorted Pareto `bundle`: rejected when
-/// weakly dominated, otherwise evicts what it strictly dominates and keeps
-/// the bundle lexicographically sorted. Returns true iff inserted.
-pub(crate) fn bundle_merge(bundle: &mut Vec<ArcEntry>, costs: CostVec, frag: u32) -> bool {
-    if bundle_dominates_weak(bundle, &costs) {
-        return false;
-    }
-    bundle.retain(|e| !mcn_graph::dominates(&costs, &e.costs));
-    let pos = bundle.partition_point(|e| e.costs.lex_cmp(&costs).is_lt());
-    bundle.insert(pos, ArcEntry { costs, frag });
-    true
-}
-
-/// [`bundle_dominates_weak`] generalized to any payload: true iff some
-/// member of the (lexicographically sorted) Pareto `set` weakly dominates
-/// `costs`.
-pub(crate) fn pareto_dominates_weak<T>(set: &[(CostVec, T)], costs: &CostVec) -> bool {
-    if costs.len() == 2 {
-        let idx = set.partition_point(|(c, _)| c[0].total_cmp(&costs[0]).is_le());
-        idx > 0 && set[idx - 1].0[1] <= costs[1]
-    } else {
-        set.iter().any(|(c, _)| mcn_graph::dominates_weak(c, costs))
-    }
-}
-
-/// [`bundle_merge`] generalized to any payload. Returns true iff inserted.
-pub(crate) fn pareto_merge<T>(set: &mut Vec<(CostVec, T)>, costs: CostVec, payload: T) -> bool {
-    if pareto_dominates_weak(set, &costs) {
-        return false;
-    }
-    set.retain(|(c, _)| !mcn_graph::dominates(&costs, c));
-    let pos = set.partition_point(|(c, _)| c.lex_cmp(&costs).is_lt());
-    set.insert(pos, (costs, payload));
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcn_graph::Front2;
+    use mcn_mcpp::{pareto_dominated, pareto_insert};
+
+    fn bundle_merge(bundle: &mut Vec<ArcEntry>, costs: CostVec, frag: u32) -> bool {
+        pareto_insert(bundle, ArcEntry { costs, frag }).is_some()
+    }
 
     fn v2(a: f64, b: f64) -> CostVec {
         CostVec::from_slice(&[a, b])
@@ -242,7 +203,7 @@ mod tests {
             let b = ((lcg >> 33) % 32) as f64 * 0.5;
             let p = v2(a, b);
             assert_eq!(
-                bundle_dominates_weak(&bundle, &p),
+                pareto_dominated(&bundle, &p),
                 front.dominates_weak(a, b),
                 "query diverged at ({a}, {b})"
             );

@@ -1,9 +1,9 @@
-//! Label-correcting multi-criteria Pareto path search.
+//! Label-setting multi-criteria Pareto path search.
 
+use crate::kernel::{pareto_dominated, ParetoSearch};
 use crate::stats::PathStats;
-use mcn_graph::{dominates, dominates_weak, CostVec, EdgeId, Front2, MultiCostGraph, NodeId};
+use mcn_graph::{dominates, CostVec, EdgeId, MultiCostGraph, NodeId};
 use mcn_prep::PrepTable;
-use std::collections::VecDeque;
 
 /// One Pareto-optimal label: a non-dominated way of reaching a node.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,19 +27,19 @@ pub struct PathSkylineResult {
     pub stats: PathStats,
 }
 
-/// Computes the Pareto-optimal (skyline) paths from `source` to `target` with
-/// a label-correcting algorithm (Section II-D of the paper).
+/// Computes the Pareto-optimal (skyline) paths from `source` to `target` by
+/// lexicographic label-setting on the [`ParetoSearch`] kernel (Section II-D).
 ///
 /// Every node keeps a set of mutually non-dominated labels; labels are
-/// propagated over outgoing edges and inserted only if not (weakly) dominated
-/// by an existing label at the head node, evicting labels they dominate. In
-/// addition, a candidate that is already weakly dominated by the **current
-/// target skyline** is discarded wherever it surfaces: edge costs are
-/// non-negative, so every completion of such a path is weakly dominated at
-/// the target too (target-dominance early termination — same output, far
-/// fewer labels; see [`pareto_paths_exhaustive`] for the unpruned baseline).
-/// The returned labels at `target` are sorted lexicographically by cost
-/// vector.
+/// expanded once each in lexicographic cost order, propagated over outgoing
+/// edges and inserted only if not (weakly) dominated by an existing label at
+/// the head node, evicting labels they dominate. In addition, a candidate
+/// that is already weakly dominated by the **current target skyline** is
+/// discarded wherever it surfaces: edge costs are non-negative, so every
+/// completion of such a path is weakly dominated at the target too
+/// (target-dominance early termination — same output, far fewer labels; see
+/// [`pareto_paths_exhaustive`] for the unpruned baseline). The returned
+/// labels at `target` are sorted lexicographically by cost vector.
 ///
 /// **Exact ties caveat** (applies to every pruned variant in this module):
 /// the returned *cost-vector* skyline always equals the exhaustive
@@ -69,9 +69,9 @@ pub fn pareto_paths_with_stats(
     search(graph, source, target, None, true)
 }
 
-/// The original exhaustive label-correcting baseline: **no** pruning beyond
-/// node-level dominance, so labels for every node are kept until
-/// termination. Identical output to [`pareto_paths`]; exists as the
+/// The exhaustive label-setting baseline: **no** target or bound pruning
+/// beyond node-level dominance (only the target's own labels are never
+/// extended). Identical output to [`pareto_paths`]; exists as the
 /// measurement baseline the `prep` experiment (and the early-termination
 /// fix) quantify label reductions against.
 pub fn pareto_paths_exhaustive(
@@ -114,24 +114,15 @@ pub fn pareto_paths_prepped(
     target: NodeId,
     prep: &PrepTable,
 ) -> PathSkylineResult {
-    assert_eq!(
+    assert!(
+        (prep.target(), prep.num_nodes(), prep.cost_types())
+            == (target, graph.num_nodes(), graph.num_cost_types()),
+        "prep table (target {}, {} nodes, d = {}) does not fit the query \
+         (target {target}, {} nodes, d = {})",
         prep.target(),
-        target,
-        "prep table was built for target {}, query targets {target}",
-        prep.target()
-    );
-    assert_eq!(
         prep.num_nodes(),
+        prep.cost_types(),
         graph.num_nodes(),
-        "prep table covers {} nodes, graph has {}",
-        prep.num_nodes(),
-        graph.num_nodes()
-    );
-    assert_eq!(
-        prep.cost_types(),
-        graph.num_cost_types(),
-        "prep table has d = {}, graph has d = {}",
-        prep.cost_types(),
         graph.num_cost_types()
     );
     search(graph, source, target, Some(prep), true)
@@ -150,10 +141,10 @@ pub fn pareto_paths_prepped(
 /// of hops) while giving up a vanishing sliver of pruning power.
 const BOUND_DEFLATION: f64 = 1.0 - 1e-9;
 
-/// The shared label-correcting search. `prep` enables lower-bound pruning
-/// and upper-bound cuts; `target_prune` enables target-dominance early
-/// termination (subsumed by bound pruning when `prep` is given, since
-/// `L ≥ 0`). With both off this is the exhaustive baseline.
+/// The shared search on the label-setting kernel. `prep` enables bound
+/// pruning, upper-bound cuts and the bound vector as heap key;
+/// `target_prune` enables target-dominance early termination (implied by
+/// `prep`, since `L ≥ 0`). With both off this is the exhaustive baseline.
 fn search(
     graph: &MultiCostGraph,
     source: NodeId,
@@ -163,117 +154,68 @@ fn search(
 ) -> PathSkylineResult {
     let d = graph.num_cost_types();
     let mut stats = PathStats::default();
-    let mut labels: Vec<Vec<ParetoLabel>> = vec![Vec::new(); graph.num_nodes()];
     stats.labels_created += 1;
     stats.labels_inserted += 1;
-    labels[source.index()].push(ParetoLabel {
-        node: source,
-        costs: CostVec::zeros(d),
-        edges: Vec::new(),
-    });
-
-    // Bicriterion fast path: a sorted-sweep mirror of the target skyline
-    // answers the hot weak-dominance check in O(log k) instead of a scan.
-    // The mirror's booleans are identical to the pairwise test over the
-    // same points, so every label counter (and the labels gate) is
-    // unchanged by construction.
-    let mut target_front = (d == 2 && (target_prune || prep.is_some())).then(Front2::new);
-    if source == target {
-        if let Some(front) = target_front.as_mut() {
-            front.insert(0.0, 0.0);
-        }
-    }
-
     // Real source → target path costs reconstructed from the prep scan: cut
     // lines available before the first label reaches the target.
-    let cuts: Vec<CostVec> = match prep {
-        Some(prep) => prep.upper_bound_cuts(graph, source),
-        None => Vec::new(),
-    };
-
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    let mut queued = vec![false; graph.num_nodes()];
-    queue.push_back(source);
-    queued[source.index()] = true;
-
-    while let Some(node) = queue.pop_front() {
-        queued[node.index()] = false;
+    let cuts = prep.map_or_else(Vec::new, |prep| prep.upper_bound_cuts(graph, source));
+    let prune_at_target = target_prune || prep.is_some();
+    let mut search = ParetoSearch::new(graph.num_nodes(), source.raw(), d);
+    while let Some((id, node, at)) = search.pop() {
         stats.nodes_settled += 1;
-        // mcn-lint: allow(hot-path-alloc, reason = "snapshot of the settled node's labels — the inner loop mutates labels[] at head nodes, so iterating a borrow would alias; one clone per settle, not per label")
-        let current: Vec<ParetoLabel> = labels[node.index()].clone();
-        for neighbor in graph.neighbors(node) {
-            for label in &current {
-                let mut costs = label.costs;
-                costs += neighbor.costs;
-                stats.labels_created += 1;
+        if node == target.raw() {
+            // Final: with non-negative costs any extension that returns to
+            // the target is weakly dominated by this label.
+            continue;
+        }
+        for neighbor in graph.neighbors(NodeId::new(node)) {
+            let costs = at + neighbor.costs;
+            stats.labels_created += 1;
 
-                // ParetoPrep cuts: reachability, then the bound vector
-                // against the target skyline and the upper-bound cuts.
-                let mut bound = costs;
-                if let Some(prep) = prep {
-                    if !prep.reaches(neighbor.node) {
-                        stats.labels_pruned += 1;
-                        continue;
-                    }
-                    let lower = prep.bound(neighbor.node);
-                    for i in 0..d {
-                        bound[i] += lower[i] * BOUND_DEFLATION;
-                    }
-                }
-                if target_prune || prep.is_some() {
-                    let dominated_at_target = match &target_front {
-                        Some(front) => front.dominates_weak(bound[0], bound[1]),
-                        None => labels[target.index()]
-                            .iter()
-                            .any(|l| dominates_weak(&l.costs, &bound)),
-                    };
-                    if dominated_at_target {
-                        stats.labels_pruned += 1;
-                        continue;
-                    }
-                }
-                if cuts.iter().any(|cut| dominates(cut, &bound)) {
+            // ParetoPrep cuts: reachability, then the bound vector
+            // against the target skyline and the upper-bound cuts.
+            let mut bound = costs;
+            if let Some(prep) = prep {
+                if !prep.reaches(neighbor.node) {
                     stats.labels_pruned += 1;
                     continue;
                 }
+                let lower = prep.bound(neighbor.node);
+                for i in 0..d {
+                    bound[i] += lower[i] * BOUND_DEFLATION;
+                }
+            }
+            if (prune_at_target && pareto_dominated(search.set(target.raw()), &bound))
+                || cuts.iter().any(|cut| dominates(cut, &bound))
+            {
+                stats.labels_pruned += 1;
+                continue;
+            }
 
-                // Classic node-level dominance at the head node.
-                let existing = &mut labels[neighbor.node.index()];
-                if existing.iter().any(|l| dominates_weak(&l.costs, &costs)) {
-                    stats.labels_dominated += 1;
-                    continue;
+            // Classic node-level dominance at the head node.
+            match search.push(neighbor.node.raw(), costs, bound, id, neighbor.edge.raw()) {
+                Some(evicted) => {
+                    stats.labels_inserted += 1;
+                    stats.labels_evicted += evicted as u64;
                 }
-                let before = existing.len();
-                existing.retain(|l| !dominates(&costs, &l.costs));
-                stats.labels_evicted += (before - existing.len()) as u64;
-                // mcn-lint: allow(hot-path-alloc, reason = "label-correcting is path-explicit: every surviving label owns its edge sequence; the clone happens only after dominance pruning admits the label")
-                let mut edges = label.edges.clone();
-                edges.push(neighbor.edge);
-                existing.push(ParetoLabel {
-                    node: neighbor.node,
-                    costs,
-                    edges,
-                });
-                stats.labels_inserted += 1;
-                if neighbor.node == target {
-                    if let Some(front) = target_front.as_mut() {
-                        // Keeps the mirror exact: the pairwise checks above
-                        // admitted the label, so the mirror's (identical)
-                        // insert protocol admits it too, evicting the same
-                        // strictly dominated points `retain` just dropped.
-                        front.insert(costs[0], costs[1]);
-                    }
-                }
-                if !queued[neighbor.node.index()] {
-                    queued[neighbor.node.index()] = true;
-                    queue.push_back(neighbor.node);
-                }
+                None => stats.labels_dominated += 1,
             }
         }
     }
 
-    let mut paths = labels[target.index()].clone();
-    paths.sort_by(|a, b| a.costs.lex_cmp(&b.costs));
+    let paths = search
+        .set(target.raw())
+        .iter()
+        .map(|&(costs, id)| {
+            let mut edges: Vec<EdgeId> = search.steps(id).map(EdgeId::new).collect();
+            edges.reverse();
+            ParetoLabel {
+                node: target,
+                costs,
+                edges,
+            }
+        })
+        .collect();
     PathSkylineResult { paths, stats }
 }
 
@@ -461,9 +403,8 @@ mod tests {
 
     #[test]
     fn bicriterion_fast_path_matches_exhaustive_output() {
-        // d == 2 engages the Front2 mirror of the target skyline; the
-        // output (and, because the mirror's booleans equal the pairwise
-        // test, every counter) must match the exhaustive baseline exactly.
+        // d == 2 engages the sorted-sweep dominance test of the kernel's
+        // label sets; the output must match the exhaustive baseline exactly.
         for seed in [7u64, 21, 63] {
             let (g, nodes) = seeded_network(60, 2, seed);
             let (s, t) = (nodes[1], nodes[55]);

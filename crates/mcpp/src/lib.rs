@@ -10,8 +10,8 @@
 //! given destination, whereas the MCN skyline is a skyline of *facilities*
 //! reached via each cost type's own shortest path. The crate exists
 //!
-//! * as the classic related-work baseline (label-correcting algorithm in the
-//!   style of Skriver & Andersen / Brumbaugh-Smith & Shier);
+//! * as the classic related-work baseline (lexicographic label-setting in
+//!   the style of Martins, on the [`ParetoSearch`] kernel `mcn-index` shares);
 //! * to cross-validate the per-cost shortest path distances used elsewhere:
 //!   the component-wise minimum over the Pareto path set equals the vector of
 //!   single-criterion shortest-path distances;
@@ -24,9 +24,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod kernel;
 pub mod label;
 pub mod stats;
 
+pub use kernel::{pareto_dominated, pareto_insert, LabelId, ParetoMember, ParetoSearch};
 pub use label::{
     componentwise_minimum, pareto_paths, pareto_paths_exhaustive, pareto_paths_prepped,
     pareto_paths_with_stats, ParetoLabel, PathSkylineResult,

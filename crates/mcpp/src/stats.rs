@@ -2,7 +2,7 @@
 
 /// Counters of one [`crate::pareto_paths`]-family run.
 ///
-/// The unit of work of a label-correcting multi-criteria search is the
+/// The unit of work of a label-setting multi-criteria search is the
 /// **label**: one non-dominated way of reaching a node. Every optimisation
 /// in this crate (target-dominance early termination, ParetoPrep bound
 /// pruning) shows up as candidate labels that are discarded before they are
@@ -27,8 +27,8 @@ pub struct PathStats {
     /// Labels evicted from a node's set by a newly inserted dominating
     /// label.
     pub labels_evicted: u64,
-    /// Nodes popped from the label-correcting queue ("settled" in the loose
-    /// sense of SPFA — a node can be settled several times).
+    /// Labels popped from the label-setting heap (each at most once; labels
+    /// evicted before their turn are skipped, not counted).
     pub nodes_settled: u64,
 }
 

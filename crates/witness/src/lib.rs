@@ -166,9 +166,21 @@ mod imp {
 #[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The registry is process-global and the test harness runs tests on
+    /// parallel threads, so each test holds this lock for its whole body:
+    /// no sibling's edges can land between two reads of the registry.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> MutexGuard<'static, ()> {
+        // A failed sibling poisons the lock; the unit value is still valid.
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn nested_holds_record_an_edge() {
+        let _serial = serial();
         let _a = acquire("t1::A.x");
         let _b = acquire("t1::B.y");
         assert!(observed_edges().contains(&("t1::A.x".to_string(), "t1::B.y".to_string())));
@@ -176,6 +188,7 @@ mod tests {
 
     #[test]
     fn sequential_holds_record_nothing() {
+        let _serial = serial();
         {
             let _a = acquire("t2::A.x");
         }
@@ -188,6 +201,7 @@ mod tests {
 
     #[test]
     fn drop_order_unwinds_the_held_stack() {
+        let _serial = serial();
         let a = acquire("t3::A.x");
         let b = acquire("t3::B.y");
         drop(b);
@@ -201,6 +215,7 @@ mod tests {
 
     #[test]
     fn transitive_holds_record_every_pair() {
+        let _serial = serial();
         let _a = acquire("t4::A.x");
         let _b = acquire("t4::B.y");
         let _c = acquire("t4::C.z");
@@ -211,6 +226,7 @@ mod tests {
 
     #[test]
     fn dump_json_is_valid_and_sorted() {
+        let _serial = serial();
         let _a = acquire("t5::A.x");
         let _b = acquire("t5::B.y");
         let json = dump_json();
